@@ -1,7 +1,6 @@
 #include "suite_scenarios.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -183,14 +182,15 @@ void run_host_reference(const SuiteConfig& cfg, obs::BenchReport& report) {
   for (const DevItem& it : kDevItems) {
     const double scale = cfg.smoke ? it.smoke_scale : it.scale;
     const auto a = make_named(it.name, scale).matrix;
+    const auto plan = formats::registry<double>().build("csr", a);
     std::vector<double> x(static_cast<std::size_t>(a.n_cols), 1.0);
     std::vector<double> y(static_cast<std::size_t>(a.n_rows));
     const int t = cfg.threads;
     report.entries.push_back(measured_entry(
         cfg, std::string("deviation/") + it.name + "/host", a.nnz(),
         product_bytes(footprint(a), a.n_rows, a.n_cols), [&] {
-          exec::host_spmv(a, std::span<const double>(x), std::span<double>(y),
-                          t);
+          exec::plan_spmv(*plan, std::span<const double>(x),
+                          std::span<double>(y), t);
         }));
   }
 }
@@ -304,8 +304,8 @@ void run_dist_comm_modes(const SuiteConfig& cfg, obs::BenchReport& report) {
 // ---- dist_comm: functional halo exchange through the persistent plan -----
 
 /// Deterministic per-scheme traffic accounting (bytes and messages per
-/// iteration, gated in CI) plus an informational legacy-vs-plan timing
-/// comparison under dist_comm_time/ (not gated: wall-clock).
+/// iteration, gated in CI) plus the per-rank comm-phase attribution of
+/// the same run (dist_comm_phase/, informational).
 void run_dist_comm(const SuiteConfig& cfg, obs::BenchReport& report) {
   const double scale = cfg.smoke ? 64 : 16;
   const auto m = make_named("DLR1", scale);
@@ -373,42 +373,6 @@ void run_dist_comm(const SuiteConfig& cfg, obs::BenchReport& report) {
           static_cast<double>(obs::counter("comm.eager_fallbacks").value() -
                               eager0) /
               iters}}));
-
-    // Separate run for wall-clock: the same product count through the
-    // legacy per-call path and the plan, free-running.
-    double legacy_s = 0.0, plan_s = 0.0;
-    msg::Runtime::run(n_ranks, [&](msg::Comm& comm) {
-      const auto d = dist::distribute(m.matrix, part, comm.rank());
-      std::vector<double> x(static_cast<std::size_t>(d.n_local), 1.0);
-      std::vector<double> y(static_cast<std::size_t>(d.n_local));
-      std::vector<double> halo, sendbuf;
-      // Warm both paths (pool workers, kernel plans) before timing.
-      dist::dist_spmv(comm, d, std::span<const double>(x),
-                      std::span<double>(y), scheme, halo, sendbuf);
-      comm.barrier();
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int it = 0; it < iters; ++it)
-        dist::dist_spmv(comm, d, std::span<const double>(x),
-                        std::span<double>(y), scheme, halo, sendbuf);
-      const auto t1 = std::chrono::steady_clock::now();
-      dist::CommPlan<double> plan(comm, d, scheme, /*gather_threads=*/2);
-      plan.spmv(std::span<const double>(x), std::span<double>(y));
-      comm.barrier();
-      const auto t2 = std::chrono::steady_clock::now();
-      for (int it = 0; it < iters; ++it)
-        plan.spmv(std::span<const double>(x), std::span<double>(y));
-      const auto t3 = std::chrono::steady_clock::now();
-      if (comm.rank() == 0) {
-        legacy_s = std::chrono::duration<double>(t1 - t0).count() / iters;
-        plan_s = std::chrono::duration<double>(t3 - t2).count() / iters;
-      }
-    });
-    const double sample[] = {plan_s};
-    report.entries.push_back(obs::summarize_samples(
-        std::string("dist_comm_time/") + scheme_slug(scheme), sample,
-        {{"legacy_s", legacy_s},
-         {"plan_s", plan_s},
-         {"speedup", plan_s > 0.0 ? legacy_s / plan_s : 0.0}}));
   }
 }
 

@@ -1,11 +1,12 @@
 #include "dist/comm_plan.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
 #include "dist/cluster_model.hpp"
-#include "dist/spmv_apply.hpp"
+#include "exec/dispatch.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,9 +17,8 @@ namespace spmvm::dist {
 
 namespace {
 
-/// Plan traffic uses its own tag so a plan and the legacy dist_spmv can
-/// coexist on one Comm (the bit-identity tests interleave both) without
-/// their messages cross-matching.
+/// Halo traffic has its own tag, so it never cross-matches the
+/// runtime's collectives or a caller's point-to-point messages.
 constexpr int kTagPlanHalo = 102;
 
 const char* plan_span_name(CommScheme scheme) {
@@ -56,6 +56,47 @@ obs::WorkDesc net_work(std::uint64_t bytes) {
 
 }  // namespace
 
+const char* to_string(CommScheme scheme) {
+  switch (scheme) {
+    case CommScheme::vector_mode:
+      return "vector mode";
+    case CommScheme::naive_overlap:
+      return "naive overlap";
+    case CommScheme::task_mode:
+      return "task mode";
+  }
+  return "?";
+}
+
+template <class T>
+void handshake_pattern(msg::Comm& comm, const DistMatrix<T>& d) {
+  SPMVM_REQUIRE(comm.size() == d.n_parts,
+                "communicator size must match the partition");
+  SPMVM_REQUIRE(comm.rank() == d.rank, "rank mismatch");
+  // Tell every owner which of its entries I need (global indices); check
+  // that what peers request from me matches my precomputed send lists.
+  std::vector<std::vector<index_t>> requests(
+      static_cast<std::size_t>(d.n_parts));
+  for (int p = 0; p < d.n_parts; ++p) {
+    const auto off = d.recv_offset[static_cast<std::size_t>(p)];
+    const auto cnt = d.recv_count[static_cast<std::size_t>(p)];
+    requests[static_cast<std::size_t>(p)].assign(
+        d.halo_global.begin() + off, d.halo_global.begin() + off + cnt);
+  }
+  const auto wanted_from_me = comm.alltoall_t<index_t>(requests);
+  const index_t row0 = d.partition.begin(d.rank);
+  for (int p = 0; p < d.n_parts; ++p) {
+    if (p == d.rank) continue;
+    const auto& got = wanted_from_me[static_cast<std::size_t>(p)];
+    const auto& expected = d.send_idx[static_cast<std::size_t>(p)];
+    SPMVM_REQUIRE(got.size() == expected.size(),
+                  "send-list size mismatch in pattern handshake");
+    for (std::size_t k = 0; k < got.size(); ++k)
+      SPMVM_REQUIRE(got[k] - row0 == expected[k],
+                    "send-list entry mismatch in pattern handshake");
+  }
+}
+
 template <class T>
 CommPlan<T>::CommPlan(msg::Comm& comm, const DistMatrix<T>& d,
                       CommScheme scheme, int gather_threads)
@@ -67,9 +108,11 @@ CommPlan<T>::CommPlan(msg::Comm& comm, const DistMatrix<T>& d,
                 "communicator size must match the partition");
   SPMVM_REQUIRE(comm.rank() == d.rank, "rank mismatch");
   SPMVM_REQUIRE(gather_threads >= 1, "need at least one gather thread");
+  SPMVM_REQUIRE(d.local_plan != nullptr &&
+                    (d.n_halo == 0 || d.nonlocal_plan != nullptr),
+                "DistMatrix has no kernel plans (see build_plans)");
 
-  // Flatten the per-peer send lists into one contiguous array; the
-  // legacy path recomputes these offsets on every call.
+  // Flatten the per-peer send lists into one contiguous array.
   send_offset_.assign(static_cast<std::size_t>(d.n_parts) + 1, 0);
   for (int p = 0; p < d.n_parts; ++p)
     send_offset_[static_cast<std::size_t>(p) + 1] =
@@ -177,6 +220,24 @@ void CommPlan<T>::local_gather(std::span<const T> x) {
 }
 
 template <class T>
+void CommPlan<T>::apply_local(std::span<const T> x, std::span<T> y) {
+  SPMVM_TRACE_SPAN("kernel/local");
+  exec::plan_spmv(*d_.local_plan, x, y);
+}
+
+template <class T>
+void CommPlan<T>::apply_nonlocal(std::span<T> y) {
+  SPMVM_TRACE_SPAN("kernel/nonlocal");
+  if (d_.n_halo == 0) return;
+  const std::span<const T> halo(halo_);
+  if (exec::plan_spmv_axpby(*d_.nonlocal_plan, halo, y, T{1}, T{1})) return;
+  // No fused kernel: apply and accumulate via a scratch vector.
+  std::vector<T> tmp(static_cast<std::size_t>(d_.n_local));
+  exec::plan_spmv(*d_.nonlocal_plan, halo, std::span<T>(tmp));
+  for (std::size_t i = 0; i < tmp.size(); ++i) y[i] += tmp[i];
+}
+
+template <class T>
 void CommPlan<T>::start_receives() {
   comm_.startall(recv_reqs_);
 }
@@ -264,50 +325,27 @@ void CommPlan<T>::spmv(std::span<const T> x_local, std::span<T> y_local) {
   c_send.add(static_cast<std::uint64_t>(sendbuf_.size()) * sizeof(T));
 
   switch (scheme_) {
-    case CommScheme::vector_mode: {
+    case CommScheme::vector_mode:
       // Exchange completes before any compute (no overlap).
       start_sends();
       wait_receives();
-      {
-        SPMVM_TRACE_SPAN("kernel/local");
-        detail::apply_local<T>(d_, x_local, y_local);
-      }
-      {
-        SPMVM_TRACE_SPAN("kernel/nonlocal");
-        detail::apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
-      }
+      apply_local(x_local, y_local);
       break;
-    }
-    case CommScheme::naive_overlap: {
+    case CommScheme::naive_overlap:
       // Sends in flight while the local part computes.
       start_sends();
-      {
-        SPMVM_TRACE_SPAN("kernel/local");
-        detail::apply_local<T>(d_, x_local, y_local);
-      }
+      apply_local(x_local, y_local);
       wait_receives();
-      {
-        SPMVM_TRACE_SPAN("kernel/nonlocal");
-        detail::apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
-      }
       break;
-    }
-    case CommScheme::task_mode: {
+    case CommScheme::task_mode:
       // Wake the persistent comm thread (Fig. 4: thread 0 exchanges
       // while the compute threads run the local part).
       signal_comm_thread();
-      {
-        SPMVM_TRACE_SPAN("kernel/local");
-        detail::apply_local<T>(d_, x_local, y_local);
-      }
+      apply_local(x_local, y_local);
       join_iteration();
-      {
-        SPMVM_TRACE_SPAN("kernel/nonlocal");
-        detail::apply_nonlocal<T>(d_, std::span<const T>(halo_), y_local);
-      }
       break;
-    }
   }
+  apply_nonlocal(y_local);
 
   // The halo is consumed; re-post the receives now so the peers' next
   // sends rendezvous straight into halo_. A send that arrives before its
@@ -320,7 +358,34 @@ void CommPlan<T>::spmv(std::span<const T> x_local, std::span<T> y_local) {
   ++iterations_;
 }
 
-template class CommPlan<float>;
-template class CommPlan<double>;
+template <class T>
+std::vector<T> run_power_iterations(msg::Comm& comm, const DistMatrix<T>& d,
+                                    std::span<const T> x0_local,
+                                    int iterations, CommScheme scheme) {
+  std::vector<T> x(x0_local.begin(), x0_local.end());
+  std::vector<T> y(static_cast<std::size_t>(d.n_local));
+  CommPlan<T> plan(comm, d, scheme);
+  for (int it = 0; it < iterations; ++it) {
+    plan.spmv(std::span<const T>(x), std::span<T>(y));
+    // Global normalization keeps values bounded and adds a collective,
+    // like a real eigensolver iteration.
+    double local_sq = 0.0;
+    for (const T v : y) local_sq += static_cast<double>(v) * v;
+    const double norm = std::sqrt(comm.allreduce_sum(local_sq));
+    SPMVM_REQUIRE(norm > 0.0, "iteration collapsed to zero vector");
+    for (std::size_t i = 0; i < y.size(); ++i)
+      x[i] = static_cast<T>(y[i] / norm);
+  }
+  return x;
+}
+
+#define SPMVM_INSTANTIATE_COMM_PLAN(T)                                    \
+  template class CommPlan<T>;                                             \
+  template void handshake_pattern(msg::Comm&, const DistMatrix<T>&);      \
+  template std::vector<T> run_power_iterations(                           \
+      msg::Comm&, const DistMatrix<T>&, std::span<const T>, int, CommScheme)
+
+SPMVM_INSTANTIATE_COMM_PLAN(float);
+SPMVM_INSTANTIATE_COMM_PLAN(double);
 
 }  // namespace spmvm::dist

@@ -1,11 +1,22 @@
-// Persistent halo-exchange plan for distributed spMVM (Sec. III-A).
+// Distributed spMVM with the paper's three communication schemes
+// (Sec. III-A), running functionally on the in-process message runtime
+// through a persistent halo-exchange plan:
 //
-// The legacy dist_spmv pays per-iteration orchestration costs that the
-// paper's scalability argument assumes away: per-call offset/request
-// vector allocations, a serial local gather, an eager double-copy per
-// message, and — in task mode — a freshly spawned communication thread
-// for every product. A CommPlan is built once per DistMatrix and hoists
-// all of that into reusable state:
+//   vector mode    — halo exchange completes before a single full spMVM
+//                    (no overlap; vector-computer programming style),
+//   naive overlap  — nonblocking sends posted around the *local* spMVM,
+//                    the non-local part applied after the receives,
+//   task mode      — a dedicated communication thread per rank runs the
+//                    exchange while the compute thread does the local
+//                    spMVM (Fig. 4).
+//
+// All three produce bit-identical results: the local and non-local
+// products run through the rank's format plans in the same order; the
+// schemes differ only in when communication may overlap computation
+// (timed by cluster_model).
+//
+// A CommPlan is built once per DistMatrix and scheme and hoists every
+// per-iteration orchestration cost into reusable state:
 //
 //   - owned send/halo scratch buffers and precomputed per-peer offsets,
 //   - persistent send/recv requests (msg::Comm::send_init/recv_init)
@@ -18,9 +29,7 @@
 //     dedicated comm thread of Fig. 4) instead of a thread per call.
 //
 // The steady-state spmv() performs no heap allocation and spawns no
-// threads (asserted in test_comm_plan). All three schemes stay
-// bit-identical to the legacy dist_spmv: the kernels run through the
-// same shared apply helpers in the same order.
+// threads (asserted in test_comm_plan).
 //
 // Every iteration is traced as a dist/plan_* span whose phases —
 // comm/plan_gather, comm/plan_sends, comm/plan_waitall, kernel/local,
@@ -43,10 +52,19 @@
 #include <vector>
 
 #include "dist/dist_matrix.hpp"
-#include "dist/spmv_modes.hpp"
 #include "msg/runtime.hpp"
 
 namespace spmvm::dist {
+
+enum class CommScheme { vector_mode, naive_overlap, task_mode };
+
+const char* to_string(CommScheme scheme);
+
+/// Verify at runtime, by message exchange, that the locally computed send
+/// lists match what each peer expects (the pattern handshake a real MPI
+/// code performs at setup). Throws on mismatch.
+template <class T>
+void handshake_pattern(msg::Comm& comm, const DistMatrix<T>& d);
 
 template <class T>
 class CommPlan {
@@ -62,7 +80,7 @@ class CommPlan {
   CommPlan& operator=(const CommPlan&) = delete;
 
   /// One distributed spMVM: y_local = A · x_local, under the plan's
-  /// scheme. Bit-identical to dist_spmv with the same scheme.
+  /// scheme (bit-identical across schemes).
   void spmv(std::span<const T> x_local, std::span<T> y_local);
 
   CommScheme scheme() const { return scheme_; }
@@ -73,6 +91,8 @@ class CommPlan {
 
  private:
   void local_gather(std::span<const T> x);
+  void apply_local(std::span<const T> x, std::span<T> y);
+  void apply_nonlocal(std::span<T> y);  // y += nonlocal · halo
   void start_receives();  // (re-)post the persistent halo receives
   void start_sends();     // buffered: started and re-armed in one step
   void wait_receives();
@@ -110,7 +130,20 @@ class CommPlan {
   std::exception_ptr comm_error_;
 };
 
-#define SPMVM_EXTERN_COMM_PLAN(T) extern template class CommPlan<T>
+/// Convenience wrapper: run `iterations` products y = A·x through one
+/// CommPlan with x <- y/|y| normalization between iterations (a
+/// power-iteration-like workload), return the final local block. Used by
+/// integration tests and examples.
+template <class T>
+std::vector<T> run_power_iterations(msg::Comm& comm, const DistMatrix<T>& d,
+                                    std::span<const T> x0_local,
+                                    int iterations, CommScheme scheme);
+
+#define SPMVM_EXTERN_COMM_PLAN(T)                                           \
+  extern template class CommPlan<T>;                                        \
+  extern template void handshake_pattern(msg::Comm&, const DistMatrix<T>&); \
+  extern template std::vector<T> run_power_iterations(                      \
+      msg::Comm&, const DistMatrix<T>&, std::span<const T>, int, CommScheme)
 SPMVM_EXTERN_COMM_PLAN(float);
 SPMVM_EXTERN_COMM_PLAN(double);
 #undef SPMVM_EXTERN_COMM_PLAN

@@ -148,10 +148,8 @@ class HostBound final : public BoundSpmv<T> {
                    T beta) override {
     const bool plan_basis =
         launch_.basis == Basis::plan || plan_->permutation() == nullptr;
-    if (plan_basis && plan_->info().native_axpby) {
-      this->check_spans(x, y);
-      if (plan_->spmv_axpby(x, y, alpha, beta, launch_.n_threads)) return;
-    }
+    if (plan_basis && plan_->spmv_axpby(x, y, alpha, beta, launch_.n_threads))
+      return;
     BoundSpmv<T>::apply_axpby(x, y, alpha, beta);
   }
 

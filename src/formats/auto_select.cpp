@@ -30,18 +30,6 @@ class AutoPlan final : public FormatPlan<T> {
   offset_t nnz() const override { return chosen_->nnz(); }
   Footprint footprint() const override { return chosen_->footprint(); }
   Csr<T> to_csr() const override { return chosen_->to_csr(); }
-  void spmv(std::span<const T> x, std::span<T> y,
-            int n_threads) const override {
-    chosen_->spmv(x, y, n_threads);
-  }
-  bool spmv_axpby(std::span<const T> x, std::span<T> y, T alpha, T beta,
-                  int n_threads) const override {
-    return chosen_->spmv_axpby(x, y, alpha, beta, n_threads);
-  }
-  void spmmv(std::span<const T> x, std::span<T> y, int k,
-             int n_threads) const override {
-    chosen_->spmmv(x, y, k, n_threads);
-  }
   const Permutation* permutation() const override {
     return chosen_->permutation();
   }
@@ -54,6 +42,18 @@ class AutoPlan final : public FormatPlan<T> {
   const AutoChoice* auto_choice() const override { return &choice_; }
 
  private:
+  // The chosen plan's kernels run under this plan's probe (recorded as
+  // `auto`), never under a second one. No fused axpby: info() does not
+  // announce it.
+  void do_spmv(std::span<const T> x, std::span<T> y,
+               int n_threads) const override {
+    FormatPlan<T>::delegate_spmv(*chosen_, x, y, n_threads);
+  }
+  void do_spmmv(std::span<const T> x, std::span<T> y, int k,
+                int n_threads) const override {
+    FormatPlan<T>::delegate_spmmv(*chosen_, x, y, k, n_threads);
+  }
+
   std::shared_ptr<const FormatPlan<T>> chosen_;
   AutoChoice choice_;
   const FormatInfo* info_;

@@ -15,21 +15,20 @@ Footprint CsrPlan<T>::footprint() const {
 }
 
 template <class T>
-void CsrPlan<T>::spmv(std::span<const T> x, std::span<T> y,
-                      int n_threads) const {
+void CsrPlan<T>::do_spmv(std::span<const T> x, std::span<T> y,
+                         int n_threads) const {
   spmvm::spmv(a_, x, y, n_threads);
 }
 
 template <class T>
-bool CsrPlan<T>::spmv_axpby(std::span<const T> x, std::span<T> y, T alpha,
-                            T beta, int n_threads) const {
+void CsrPlan<T>::do_spmv_axpby(std::span<const T> x, std::span<T> y,
+                               T alpha, T beta, int n_threads) const {
   spmvm::spmv_axpby(a_, x, y, alpha, beta, n_threads);
-  return true;
 }
 
 template <class T>
-void CsrPlan<T>::spmmv(std::span<const T> x, std::span<T> y, int k,
-                       int n_threads) const {
+void CsrPlan<T>::do_spmmv(std::span<const T> x, std::span<T> y, int k,
+                          int n_threads) const {
   spmvm::spmmv(a_, x, y, k, n_threads);
 }
 
@@ -52,8 +51,8 @@ Csr<T> EllpackPlan<T>::to_csr() const {
 }
 
 template <class T>
-void EllpackPlan<T>::spmv(std::span<const T> x, std::span<T> y,
-                          int n_threads) const {
+void EllpackPlan<T>::do_spmv(std::span<const T> x, std::span<T> y,
+                             int n_threads) const {
   if (r_kernel_)
     spmv_ellpack_r(a_, x, y, n_threads);
   else
@@ -82,9 +81,9 @@ Csr<T> JdsPlan<T>::to_csr() const {
 }
 
 template <class T>
-void JdsPlan<T>::spmv(std::span<const T> x, std::span<T> y,
-                      int /*n_threads*/) const {
-  spmvm::spmv(a_, x, y);
+void JdsPlan<T>::do_spmv(std::span<const T> x, std::span<T> y,
+                         int n_threads) const {
+  spmvm::spmv(a_, x, y, n_threads);
 }
 
 // ---- sliced ELLPACK / SELL-C-σ ----
@@ -101,16 +100,15 @@ Csr<T> SlicedEllPlan<T>::to_csr() const {
 }
 
 template <class T>
-void SlicedEllPlan<T>::spmv(std::span<const T> x, std::span<T> y,
-                            int n_threads) const {
+void SlicedEllPlan<T>::do_spmv(std::span<const T> x, std::span<T> y,
+                               int n_threads) const {
   spmvm::spmv(a_, x, y, n_threads);
 }
 
 template <class T>
-bool SlicedEllPlan<T>::spmv_axpby(std::span<const T> x, std::span<T> y,
-                                  T alpha, T beta, int n_threads) const {
+void SlicedEllPlan<T>::do_spmv_axpby(std::span<const T> x, std::span<T> y,
+                                     T alpha, T beta, int n_threads) const {
   spmvm::spmv_axpby(a_, x, y, alpha, beta, n_threads);
-  return true;
 }
 
 template <class T>
@@ -132,8 +130,8 @@ Csr<T> BellpackPlan<T>::to_csr() const {
 }
 
 template <class T>
-void BellpackPlan<T>::spmv(std::span<const T> x, std::span<T> y,
-                           int n_threads) const {
+void BellpackPlan<T>::do_spmv(std::span<const T> x, std::span<T> y,
+                              int n_threads) const {
   spmvm::spmv(a_, x, y, n_threads);
 }
 
@@ -150,21 +148,20 @@ Csr<T> PjdsPlan<T>::to_csr() const {
 }
 
 template <class T>
-void PjdsPlan<T>::spmv(std::span<const T> x, std::span<T> y,
-                       int n_threads) const {
+void PjdsPlan<T>::do_spmv(std::span<const T> x, std::span<T> y,
+                          int n_threads) const {
   spmvm::spmv(a_, x, y, n_threads);
 }
 
 template <class T>
-bool PjdsPlan<T>::spmv_axpby(std::span<const T> x, std::span<T> y, T alpha,
-                             T beta, int n_threads) const {
+void PjdsPlan<T>::do_spmv_axpby(std::span<const T> x, std::span<T> y,
+                                T alpha, T beta, int n_threads) const {
   spmvm::spmv_axpby(a_, x, y, alpha, beta, n_threads);
-  return true;
 }
 
 template <class T>
-void PjdsPlan<T>::spmmv(std::span<const T> x, std::span<T> y, int k,
-                        int n_threads) const {
+void PjdsPlan<T>::do_spmmv(std::span<const T> x, std::span<T> y, int k,
+                           int n_threads) const {
   spmvm::spmmv(a_, x, y, k, n_threads);
 }
 

@@ -27,17 +27,18 @@ class CsrPlan final : public FormatPlan<T> {
   offset_t nnz() const override { return a_.nnz(); }
   Footprint footprint() const override;
   Csr<T> to_csr() const override { return a_; }
-  void spmv(std::span<const T> x, std::span<T> y,
-            int n_threads) const override;
-  bool spmv_axpby(std::span<const T> x, std::span<T> y, T alpha, T beta,
-                  int n_threads) const override;
-  void spmmv(std::span<const T> x, std::span<T> y, int k,
-             int n_threads) const override;
   std::optional<gpusim::KernelResult> simulate(
       const gpusim::DeviceSpec& dev,
       const gpusim::SimOptions& opt) const override;
 
  private:
+  void do_spmv(std::span<const T> x, std::span<T> y,
+               int n_threads) const override;
+  void do_spmv_axpby(std::span<const T> x, std::span<T> y, T alpha, T beta,
+                     int n_threads) const override;
+  void do_spmmv(std::span<const T> x, std::span<T> y, int k,
+                int n_threads) const override;
+
   Csr<T> a_;
   const FormatInfo* info_;
 };
@@ -58,13 +59,14 @@ class EllpackPlan final : public FormatPlan<T> {
   offset_t nnz() const override { return a_.nnz; }
   Footprint footprint() const override;
   Csr<T> to_csr() const override;
-  void spmv(std::span<const T> x, std::span<T> y,
-            int n_threads) const override;
   std::optional<gpusim::KernelResult> simulate(
       const gpusim::DeviceSpec& dev,
       const gpusim::SimOptions& opt) const override;
 
  private:
+  void do_spmv(std::span<const T> x, std::span<T> y,
+               int n_threads) const override;
+
   Ellpack<T> a_;
   const FormatInfo* info_;
   bool r_kernel_;
@@ -83,12 +85,13 @@ class JdsPlan final : public FormatPlan<T> {
   offset_t nnz() const override { return a_.nnz; }
   Footprint footprint() const override;
   Csr<T> to_csr() const override;
-  void spmv(std::span<const T> x, std::span<T> y,
-            int n_threads) const override;
   const Permutation* permutation() const override { return &a_.perm; }
   bool columns_permuted() const override { return columns_permuted_; }
 
  private:
+  void do_spmv(std::span<const T> x, std::span<T> y,
+               int n_threads) const override;
+
   Jds<T> a_;
   const FormatInfo* info_;
   bool columns_permuted_;
@@ -108,10 +111,6 @@ class SlicedEllPlan final : public FormatPlan<T> {
   offset_t nnz() const override { return a_.nnz; }
   Footprint footprint() const override;
   Csr<T> to_csr() const override;
-  void spmv(std::span<const T> x, std::span<T> y,
-            int n_threads) const override;
-  bool spmv_axpby(std::span<const T> x, std::span<T> y, T alpha, T beta,
-                  int n_threads) const override;
   const Permutation* permutation() const override {
     return a_.sort_window > 1 ? &a_.perm : nullptr;
   }
@@ -121,6 +120,11 @@ class SlicedEllPlan final : public FormatPlan<T> {
       const gpusim::SimOptions& opt) const override;
 
  private:
+  void do_spmv(std::span<const T> x, std::span<T> y,
+               int n_threads) const override;
+  void do_spmv_axpby(std::span<const T> x, std::span<T> y, T alpha, T beta,
+                     int n_threads) const override;
+
   SlicedEll<T> a_;
   const FormatInfo* info_;
 };
@@ -137,10 +141,11 @@ class BellpackPlan final : public FormatPlan<T> {
   offset_t nnz() const override { return a_.nnz; }
   Footprint footprint() const override;
   Csr<T> to_csr() const override;
-  void spmv(std::span<const T> x, std::span<T> y,
-            int n_threads) const override;
 
  private:
+  void do_spmv(std::span<const T> x, std::span<T> y,
+               int n_threads) const override;
+
   Bellpack<T> a_;
   const FormatInfo* info_;
 };
@@ -157,12 +162,6 @@ class PjdsPlan final : public FormatPlan<T> {
   offset_t nnz() const override { return a_.nnz; }
   Footprint footprint() const override;
   Csr<T> to_csr() const override;
-  void spmv(std::span<const T> x, std::span<T> y,
-            int n_threads) const override;
-  bool spmv_axpby(std::span<const T> x, std::span<T> y, T alpha, T beta,
-                  int n_threads) const override;
-  void spmmv(std::span<const T> x, std::span<T> y, int k,
-             int n_threads) const override;
   const Permutation* permutation() const override { return &a_.perm; }
   bool columns_permuted() const override { return a_.columns_permuted; }
   std::optional<gpusim::KernelResult> simulate(
@@ -170,6 +169,13 @@ class PjdsPlan final : public FormatPlan<T> {
       const gpusim::SimOptions& opt) const override;
 
  private:
+  void do_spmv(std::span<const T> x, std::span<T> y,
+               int n_threads) const override;
+  void do_spmv_axpby(std::span<const T> x, std::span<T> y, T alpha, T beta,
+                     int n_threads) const override;
+  void do_spmmv(std::span<const T> x, std::span<T> y, int k,
+                int n_threads) const override;
+
   Pjds<T> a_;
   const FormatInfo* info_;
 };

@@ -135,7 +135,9 @@ void FormatRegistry<T>::register_format(const FormatInfo& info,
   SPMVM_REQUIRE(builder != nullptr, "format builder must be non-null");
   SPMVM_REQUIRE(find(info.name) == nullptr,
                 std::string("format '") + info.name + "' already registered");
-  entries_.push_back(Entry{info, builder});
+  Entry& e = entries_.emplace_back(Entry{info, builder, {}});
+  e.kernel_span = std::string("kernel/") + info.name;
+  e.info.kernel_span = e.kernel_span.c_str();
 }
 
 template <class T>

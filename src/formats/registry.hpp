@@ -19,6 +19,7 @@
 
 #include <deque>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -37,6 +38,7 @@ class FormatRegistry {
   struct Entry {
     FormatInfo info;
     Builder builder;
+    std::string kernel_span;  // storage behind info.kernel_span
   };
 
   /// Register a format under a unique name (throws on duplicates).
@@ -57,8 +59,9 @@ class FormatRegistry {
   const std::deque<Entry>& entries() const { return entries_; }
 
  private:
-  // deque: plans keep pointers into entries' FormatInfo, so addresses
-  // must survive later registrations.
+  // deque: plans keep pointers into entries' FormatInfo (and its
+  // kernel_span into the entry's string), so addresses must survive
+  // later registrations.
   std::deque<Entry> entries_;
 };
 

@@ -77,22 +77,6 @@ class Operator {
   mutable std::vector<T> scratch_;
 };
 
-/// Operator over a CSR matrix (kept alive by shared ownership) — the
-/// interchange-format shortcut that needs no registry lookup.
-template <class T>
-Operator<T> make_operator(std::shared_ptr<const Csr<T>> a, int n_threads = 1) {
-  SPMVM_REQUIRE(a->n_rows == a->n_cols, "solvers need a square operator");
-  const index_t n = a->n_rows;
-  return Operator<T>(
-      n,
-      [a, n_threads](std::span<const T> x, std::span<T> y) {
-        exec::host_spmv(*a, x, y, n_threads);
-      },
-      [a, n_threads](std::span<const T> x, std::span<T> y, T alpha, T beta) {
-        exec::host_spmv_axpby(*a, x, y, alpha, beta, n_threads);
-      });
-}
-
 /// Operator over a format plan, applied in the plan's own basis: for
 /// row-sorting formats x and y are *permuted* vectors (carry them across
 /// with plan->permutation()). Requires a self-consistent basis — either
@@ -118,6 +102,14 @@ Operator<T> make_operator(std::shared_ptr<const formats::FormatPlan<T>> plan,
         exec::plan_spmv(*plan, x, y, n_threads);
       },
       std::move(axpby));
+}
+
+/// Operator over a CSR matrix — the interchange-format shortcut: wraps
+/// a `csr` plan (one copy of the matrix) without a registry lookup.
+template <class T>
+Operator<T> make_operator(std::shared_ptr<const Csr<T>> a, int n_threads = 1) {
+  SPMVM_REQUIRE(a != nullptr, "cannot wrap a null matrix");
+  return make_operator<T>(formats::registry<T>().build("csr", *a), n_threads);
 }
 
 /// Operator over an exec-engine binding: the solver iterates on

@@ -1,14 +1,9 @@
 #include "sparse/pjds_spmv.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "sparse/footprint.hpp"
-#include "obs/ledger.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -26,42 +21,6 @@ void check_shapes(const Pjds<T>& a, std::span<const T> x, std::span<T> y) {
 // Row tile of the diagonal-major traversal: small enough that the
 // accumulator strip stays cache-resident across all `width` passes.
 constexpr index_t kPjdsRowTile = 1024;
-
-/// Effective bytes per call: the stored matrix (footprint accounting)
-/// plus one RHS read and one LHS write — see sparse/spmv_host.cpp.
-template <class T>
-std::uint64_t kernel_bytes(const Pjds<T>& a) {
-  return static_cast<std::uint64_t>(footprint(a).total_bytes(sizeof(T))) +
-         (static_cast<std::uint64_t>(a.n_rows) +
-          static_cast<std::uint64_t>(a.n_cols)) *
-             sizeof(T);
-}
-
-// noinline: keeps the static-local guards out of the kernels' entry
-// blocks so the hot loops stay within the inliner's budget.
-[[gnu::noinline]] void record_kernel(obs::SpanGuard& span, std::uint64_t nnz,
-                                     std::uint64_t bytes) {
-  static obs::Counter& c_calls = obs::counter("kernel.calls");
-  static obs::Counter& c_nnz = obs::counter("kernel.nnz");
-  static obs::Counter& c_bytes = obs::counter("kernel.bytes");
-  c_calls.add();
-  c_nnz.add(nnz);
-  c_bytes.add(bytes);
-  span.set_bytes(bytes);
-}
-
-/// Roofline work descriptor — see sparse/spmv_host.cpp kernel_work.
-[[gnu::noinline]] obs::WorkDesc kernel_work(std::uint64_t nnz,
-                                            std::uint64_t bytes,
-                                            index_t n_rows) {
-  obs::WorkDesc w;
-  w.bytes = bytes;
-  w.flops = 2 * nnz;
-  w.nnz = nnz;
-  w.alpha = nnz > 0 ? static_cast<double>(n_rows) / static_cast<double>(nnz)
-                    : 0.0;
-  return w;
-}
 
 /// Rows [rb, re) of y via jagged-diagonal-major traversal: for each row
 /// tile, stream every diagonal's contiguous val/col segment with a SIMD
@@ -101,12 +60,10 @@ void pjds_rows(const Pjds<T>& a, const T* __restrict x, T* __restrict y,
 }
 
 /// Dispatch rows across threads on block boundaries, balanced by stored
-/// entries per block (the bytes each thread actually moves). noinline:
-/// keeps the hot loops out of the instrumented entry points so the
-/// span/counter bookkeeping cannot perturb their codegen.
+/// entries per block (the bytes each thread actually moves).
 template <class T, bool Fused>
-[[gnu::noinline]] void pjds_dispatch(const Pjds<T>& a, const T* x, T* y,
-                                     T alpha, T beta, int n_threads) {
+void pjds_dispatch(const Pjds<T>& a, const T* x, T* y, T alpha, T beta,
+                   int n_threads) {
   if (n_threads <= 1 || a.n_rows < 2) {
     pjds_rows<T, Fused>(a, x, y, alpha, beta, 0, a.n_rows);
     return;
@@ -127,12 +84,6 @@ template <class T>
 void spmv(const Pjds<T>& a, std::span<const T> x, std::span<T> y,
           int n_threads) {
   check_shapes(a, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/pjds");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
-  const std::uint64_t bytes = kernel_bytes(a);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "pjds", "spmv");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
   pjds_dispatch<T, false>(a, x.data(), y.data(), T{1}, T{0}, n_threads);
 }
 
@@ -140,12 +91,6 @@ template <class T>
 void spmv_axpby(const Pjds<T>& a, std::span<const T> x, std::span<T> y,
                 T alpha, T beta, int n_threads) {
   check_shapes(a, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/pjds_axpby");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
-  const std::uint64_t bytes = kernel_bytes(a);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "pjds", "spmv_axpby");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
   pjds_dispatch<T, true>(a, x.data(), y.data(), alpha, beta, n_threads);
 }
 

@@ -1,105 +1,15 @@
 #include "sparse/spmv_host.hpp"
 
-#include <cstdint>
+#include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "obs/ledger.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace spmvm {
 
 namespace {
-/// Effective bytes one kernel call streams — the stored matrix (values +
-/// indices + aux arrays, matching sparse/footprint's accounting) plus one
-/// RHS read and one LHS write — so a span's bytes / duration is directly
-/// the GB/s to compare against the STREAM limit (Eq. 1).
-template <class T>
-std::uint64_t vector_stream_bytes(index_t n_rows, index_t n_cols) {
-  return (static_cast<std::uint64_t>(n_rows) +
-          static_cast<std::uint64_t>(n_cols)) *
-         sizeof(T);
-}
-
-template <class T>
-std::uint64_t kernel_bytes(const Csr<T>& a) {
-  return static_cast<std::uint64_t>(a.nnz()) * (sizeof(T) + sizeof(index_t)) +
-         static_cast<std::uint64_t>(a.row_ptr.size()) * sizeof(offset_t) +
-         vector_stream_bytes<T>(a.n_rows, a.n_cols);
-}
-
-template <class T>
-std::uint64_t kernel_bytes(const Ellpack<T>& a, bool with_row_len) {
-  return static_cast<std::uint64_t>(a.val.size()) *
-             (sizeof(T) + sizeof(index_t)) +
-         (with_row_len
-              ? static_cast<std::uint64_t>(a.row_len.size()) * sizeof(index_t)
-              : 0) +
-         vector_stream_bytes<T>(a.n_rows, a.n_cols);
-}
-
-template <class T>
-std::uint64_t kernel_bytes(const Jds<T>& a) {
-  return static_cast<std::uint64_t>(a.val.size()) *
-             (sizeof(T) + sizeof(index_t)) +
-         static_cast<std::uint64_t>(a.jd_ptr.size()) * sizeof(offset_t) +
-         vector_stream_bytes<T>(a.n_rows, a.n_cols);
-}
-
-template <class T>
-std::uint64_t kernel_bytes(const SlicedEll<T>& a) {
-  return static_cast<std::uint64_t>(a.val.size()) *
-             (sizeof(T) + sizeof(index_t)) +
-         static_cast<std::uint64_t>(a.slice_ptr.size()) * sizeof(offset_t) +
-         static_cast<std::uint64_t>(a.row_len.size()) * sizeof(index_t) +
-         vector_stream_bytes<T>(a.n_rows, a.n_cols);
-}
-
-/// Per-call bookkeeping shared by every host kernel: bytes onto the
-/// span, always-on counters for calls / nnz processed / bytes moved.
-/// noinline: the static-local guards would bloat every kernel's entry
-/// block and push the hot loops past the inliner's budget.
-[[gnu::noinline]] void record_kernel(obs::SpanGuard& span, std::uint64_t nnz,
-                                     std::uint64_t bytes) {
-  static obs::Counter& c_calls = obs::counter("kernel.calls");
-  static obs::Counter& c_nnz = obs::counter("kernel.nnz");
-  static obs::Counter& c_bytes = obs::counter("kernel.bytes");
-  static const bool help = [] {
-    obs::set_metric_help("kernel.calls", "Host spMVM kernel invocations");
-    obs::set_metric_help("kernel.nnz",
-                         "Non-zeros processed by host spMVM kernels");
-    obs::set_metric_help("kernel.bytes",
-                         "Bytes streamed by host spMVM kernels (stored "
-                         "footprint plus RHS/LHS vectors, Eq. 1 accounting)");
-    return true;
-  }();
-  (void)help;
-  c_calls.add();
-  c_nnz.add(nnz);
-  c_bytes.add(bytes);
-  span.set_bytes(bytes);
-}
-
-/// Roofline work descriptor of one kernel call: the streamed bytes are
-/// kernel_bytes() (stored footprint + one RHS read + one LHS write, the
-/// Eq. 1 accounting), flops 2·nnz, α at its ideal value 1/N_nzr — the
-/// RHS stream is counted exactly once in kernel_bytes, so the host roof
-/// derived from these bytes is the perfect-cache bound.
-[[gnu::noinline]] obs::WorkDesc kernel_work(std::uint64_t nnz,
-                                            std::uint64_t bytes,
-                                            index_t n_rows) {
-  obs::WorkDesc w;
-  w.bytes = bytes;
-  w.flops = 2 * nnz;
-  w.nnz = nnz;
-  w.alpha = nnz > 0 ? static_cast<double>(n_rows) / static_cast<double>(nnz)
-                    : 0.0;
-  return w;
-}
-
 template <class T>
 void check_shapes(index_t n_rows, index_t n_cols, std::span<const T> x,
                   std::span<T> y) {
@@ -181,16 +91,10 @@ void sliced_ell_slices(const SlicedEll<T>& a, const T* __restrict x,
 }
 }  // namespace
 
-// The instrumented entry points below delegate to noinline _impl
-// functions: keeping the hot loops in their own function means the
-// wrapper's span/counter bookkeeping cannot perturb their codegen
-// (inliner budget, loop placement) — measured at several percent when
-// the bookkeeping shared a function body with the loops.
-namespace {
-
 template <class T>
-[[gnu::noinline]] void spmv_csr_impl(const Csr<T>& a, std::span<const T> x,
-                                     std::span<T> y, int n_threads) {
+void spmv(const Csr<T>& a, std::span<const T> x, std::span<T> y,
+          int n_threads) {
+  check_shapes(a.n_rows, a.n_cols, x, y);
   const T* val = aligned(a.val);
   const index_t* col = aligned(a.col_idx);
   const offset_t* rp = aligned(a.row_ptr);
@@ -203,10 +107,9 @@ template <class T>
 }
 
 template <class T>
-[[gnu::noinline]] void spmv_csr_axpby_impl(const Csr<T>& a,
-                                           std::span<const T> x,
-                                           std::span<T> y, T alpha, T beta,
-                                           int n_threads) {
+void spmv_axpby(const Csr<T>& a, std::span<const T> x, std::span<T> y,
+                T alpha, T beta, int n_threads) {
+  check_shapes(a.n_rows, a.n_cols, x, y);
   const T* val = aligned(a.val);
   const index_t* col = aligned(a.col_idx);
   const offset_t* rp = aligned(a.row_ptr);
@@ -220,9 +123,9 @@ template <class T>
 }
 
 template <class T>
-[[gnu::noinline]] void spmv_ellpack_impl(const Ellpack<T>& a,
-                                         std::span<const T> x, std::span<T> y,
-                                         int n_threads) {
+void spmv_ellpack(const Ellpack<T>& a, std::span<const T> x, std::span<T> y,
+                  int n_threads) {
+  check_shapes(a.n_rows, a.n_cols, x, y);
   const auto rows = static_cast<std::size_t>(a.padded_rows);
   const T* __restrict val = aligned(a.val);
   const index_t* __restrict col = aligned(a.col_idx);
@@ -242,9 +145,9 @@ template <class T>
 }
 
 template <class T>
-[[gnu::noinline]] void spmv_ellpack_r_impl(const Ellpack<T>& a,
-                                           std::span<const T> x,
-                                           std::span<T> y, int n_threads) {
+void spmv_ellpack_r(const Ellpack<T>& a, std::span<const T> x, std::span<T> y,
+                    int n_threads) {
+  check_shapes(a.n_rows, a.n_cols, x, y);
   const auto rows = static_cast<std::size_t>(a.padded_rows);
   const T* __restrict val = aligned(a.val);
   const index_t* __restrict col = aligned(a.col_idx);
@@ -264,26 +167,37 @@ template <class T>
 }
 
 template <class T>
-[[gnu::noinline]] void spmv_jds_impl(const Jds<T>& a, std::span<const T> x,
-                                     std::span<T> y) {
-  for (index_t i = 0; i < a.n_rows; ++i) y[static_cast<std::size_t>(i)] = T{0};
-  // Diagonal-major loop order: long inner loops over consecutive rows,
-  // the traversal JDS was designed for on vector machines.
-  for (index_t j = 0; j < a.width; ++j) {
-    const offset_t base = a.jd_ptr[static_cast<std::size_t>(j)];
-    const index_t L = a.diag_len(j);
-    for (index_t i = 0; i < L; ++i) {
-      const std::size_t k = static_cast<std::size_t>(base + i);
-      y[static_cast<std::size_t>(i)] +=
-          a.val[k] * x[static_cast<std::size_t>(a.col_idx[k])];
-    }
-  }
+void spmv(const Jds<T>& a, std::span<const T> x, std::span<T> y,
+          int n_threads) {
+  check_shapes(a.n_rows, a.n_cols, x, y);
+  // Diagonal-major loop order within each thread's row range: long inner
+  // loops over consecutive rows, the traversal JDS was designed for on
+  // vector machines. Every row still sums its diagonals in ascending
+  // order, so the result does not depend on the thread count.
+  parallel_for(static_cast<std::size_t>(a.n_rows), n_threads,
+               [&](std::size_t begin, std::size_t end) {
+                 const auto rb = static_cast<index_t>(begin);
+                 const auto re = static_cast<index_t>(end);
+                 for (index_t i = rb; i < re; ++i)
+                   y[static_cast<std::size_t>(i)] = T{0};
+                 for (index_t j = 0; j < a.width; ++j) {
+                   const index_t L = a.diag_len(j);
+                   if (L <= rb) break;  // diagonals only shrink
+                   const offset_t base = a.jd_ptr[static_cast<std::size_t>(j)];
+                   const index_t e = std::min(re, L);
+                   for (index_t i = rb; i < e; ++i) {
+                     const std::size_t k = static_cast<std::size_t>(base + i);
+                     y[static_cast<std::size_t>(i)] +=
+                         a.val[k] * x[static_cast<std::size_t>(a.col_idx[k])];
+                   }
+                 }
+               });
 }
 
 template <class T>
-[[gnu::noinline]] void spmv_sell_impl(const SlicedEll<T>& a,
-                                      std::span<const T> x, std::span<T> y,
-                                      int n_threads) {
+void spmv(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
+          int n_threads) {
+  check_shapes(a.n_rows, a.n_cols, x, y);
   parallel_for_balanced(
       std::span<const offset_t>(a.slice_ptr), n_threads,
       [&](std::size_t begin, std::size_t end) {
@@ -294,10 +208,9 @@ template <class T>
 }
 
 template <class T>
-[[gnu::noinline]] void spmv_sell_axpby_impl(const SlicedEll<T>& a,
-                                            std::span<const T> x,
-                                            std::span<T> y, T alpha, T beta,
-                                            int n_threads) {
+void spmv_axpby(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
+                T alpha, T beta, int n_threads) {
+  check_shapes(a.n_rows, a.n_cols, x, y);
   parallel_for_balanced(
       std::span<const offset_t>(a.slice_ptr), n_threads,
       [&](std::size_t begin, std::size_t end) {
@@ -305,98 +218,6 @@ template <class T>
         sliced_ell_slices<T, true>(a, x.data(), y.data(), alpha, beta, begin,
                                    end, acc);
       });
-}
-
-}  // namespace
-
-template <class T>
-void spmv(const Csr<T>& a, std::span<const T> x, std::span<T> y,
-          int n_threads) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/csr");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.nnz());
-  const std::uint64_t bytes = kernel_bytes(a);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "csr", "spmv");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_csr_impl(a, x, y, n_threads);
-}
-
-template <class T>
-void spmv_axpby(const Csr<T>& a, std::span<const T> x, std::span<T> y,
-                T alpha, T beta, int n_threads) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/csr_axpby");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.nnz());
-  const std::uint64_t bytes = kernel_bytes(a);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "csr", "spmv_axpby");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_csr_axpby_impl(a, x, y, alpha, beta, n_threads);
-}
-
-template <class T>
-void spmv_ellpack(const Ellpack<T>& a, std::span<const T> x, std::span<T> y,
-                  int n_threads) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/ellpack");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
-  const std::uint64_t bytes = kernel_bytes(a, /*with_row_len=*/false);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "ellpack", "spmv");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_ellpack_impl(a, x, y, n_threads);
-}
-
-template <class T>
-void spmv_ellpack_r(const Ellpack<T>& a, std::span<const T> x, std::span<T> y,
-                    int n_threads) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/ellpack_r");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.nnz);
-  const std::uint64_t bytes = kernel_bytes(a, /*with_row_len=*/true);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "ellpack_r", "spmv");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_ellpack_r_impl(a, x, y, n_threads);
-}
-
-template <class T>
-void spmv(const Jds<T>& a, std::span<const T> x, std::span<T> y) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/jds");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
-  const std::uint64_t bytes = kernel_bytes(a);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "jds", "spmv");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_jds_impl(a, x, y);
-}
-
-template <class T>
-void spmv(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
-          int n_threads) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/sell");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
-  const std::uint64_t bytes = kernel_bytes(a);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "sell", "spmv");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_sell_impl(a, x, y, n_threads);
-}
-
-template <class T>
-void spmv_axpby(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
-                T alpha, T beta, int n_threads) {
-  check_shapes(a.n_rows, a.n_cols, x, y);
-  SPMVM_TRACE_SPAN_NAMED(span, "kernel/sell_axpby");
-  const std::uint64_t nnz = static_cast<std::uint64_t>(a.val.size());
-  const std::uint64_t bytes = kernel_bytes(a);
-  record_kernel(span, nnz, bytes);
-  obs::LedgerScope led(obs::RoofLane::host, "sell", "spmv_axpby");
-  if (led.active()) led.set_work(kernel_work(nnz, bytes, a.n_rows));
-  spmv_sell_axpby_impl(a, x, y, alpha, beta, n_threads);
 }
 
 #define SPMVM_INSTANTIATE_HOST_KERNELS(T)                                   \
@@ -407,7 +228,7 @@ void spmv_axpby(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
                              std::span<T>, int);                            \
   template void spmv_ellpack_r(const Ellpack<T>&, std::span<const T>,       \
                                std::span<T>, int);                          \
-  template void spmv(const Jds<T>&, std::span<const T>, std::span<T>);      \
+  template void spmv(const Jds<T>&, std::span<const T>, std::span<T>, int); \
   template void spmv(const SlicedEll<T>&, std::span<const T>, std::span<T>, \
                      int);                                                  \
   template void spmv_axpby(const SlicedEll<T>&, std::span<const T>,         \

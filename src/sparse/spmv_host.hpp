@@ -39,9 +39,10 @@ void spmv_ellpack_r(const Ellpack<T>& a, std::span<const T> x, std::span<T> y,
                     int n_threads = 1);
 
 /// y_perm = A_perm·x — classic JDS, iterating diagonal-by-diagonal (the
-/// vector-computer loop order).
+/// vector-computer loop order) within each thread's block of rows.
 template <class T>
-void spmv(const Jds<T>& a, std::span<const T> x, std::span<T> y);
+void spmv(const Jds<T>& a, std::span<const T> x, std::span<T> y,
+          int n_threads = 1);
 
 /// y_perm = A_perm·x — sliced ELLPACK, slice-by-slice. The inner loop
 /// runs chunk-column-major across the C (slice height) dimension — the
@@ -66,7 +67,7 @@ void spmv_axpby(const SlicedEll<T>& a, std::span<const T> x, std::span<T> y,
   extern template void spmv_ellpack_r(const Ellpack<T>&, std::span<const T>,\
                                       std::span<T>, int);                   \
   extern template void spmv(const Jds<T>&, std::span<const T>,              \
-                            std::span<T>);                                  \
+                            std::span<T>, int);                             \
   extern template void spmv(const SlicedEll<T>&, std::span<const T>,        \
                             std::span<T>, int);                             \
   extern template void spmv_axpby(const SlicedEll<T>&, std::span<const T>,  \

@@ -1,7 +1,8 @@
-// Persistent halo-exchange plans (dist/comm_plan): bit-identity with
-// the legacy per-call dist_spmv for every scheme, rendezvous delivery
-// in steady state, comm-thread reuse in task mode, allocation-free
-// steady-state iterations, and plan rebuild after a format switch.
+// Persistent halo-exchange plans (dist/comm_plan): bit-identity across
+// the three schemes and between racing (eager) and synchronized
+// (rendezvous) delivery, rendezvous delivery in steady state,
+// comm-thread reuse in task mode, allocation-free steady-state
+// iterations, and plan rebuild after a format switch.
 #include "dist/comm_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -46,55 +47,49 @@ namespace {
 using spmvm::testing::random_csr;
 using spmvm::testing::random_vector;
 
-/// Run the legacy dist_spmv and a CommPlan over the same distribution in
-/// one SPMD program; returns (legacy, plan) global results.
-std::pair<std::vector<double>, std::vector<double>> run_both(
-    const Csr<double>& a, int n_ranks, CommScheme scheme,
-    const std::vector<double>& x, int plan_iterations = 3,
-    int gather_threads = 2) {
+/// Run `plan_iterations` products of one CommPlan over a balanced
+/// distribution; returns the global result.
+std::vector<double> run_plan(const Csr<double>& a, int n_ranks,
+                             CommScheme scheme, const std::vector<double>& x,
+                             int plan_iterations = 3, int gather_threads = 2) {
   const auto part = partition_balanced_nnz(a, n_ranks);
-  std::vector<double> y_legacy(static_cast<std::size_t>(a.n_rows));
-  std::vector<double> y_plan(static_cast<std::size_t>(a.n_rows));
+  std::vector<double> y(static_cast<std::size_t>(a.n_rows));
   std::mutex m;
   msg::Runtime::run(n_ranks, [&](msg::Comm& comm) {
     const auto d = distribute(a, part, comm.rank());
     const index_t row0 = part.begin(comm.rank());
     std::vector<double> x_local(x.begin() + row0,
                                 x.begin() + part.end(comm.rank()));
-    std::vector<double> yl(static_cast<std::size_t>(d.n_local));
     std::vector<double> yp(static_cast<std::size_t>(d.n_local));
-    std::vector<double> halo, sendbuf;
-    dist_spmv(comm, d, std::span<const double>(x_local), std::span<double>(yl),
-              scheme, halo, sendbuf);
     CommPlan<double> plan(comm, d, scheme, gather_threads);
     for (int it = 0; it < plan_iterations; ++it)
       plan.spmv(std::span<const double>(x_local), std::span<double>(yp));
     EXPECT_EQ(plan.iterations(),
               static_cast<std::uint64_t>(plan_iterations));
     std::lock_guard<std::mutex> lock(m);
-    std::copy(yl.begin(), yl.end(), y_legacy.begin() + row0);
-    std::copy(yp.begin(), yp.end(), y_plan.begin() + row0);
+    std::copy(yp.begin(), yp.end(), y.begin() + row0);
   });
-  return {std::move(y_legacy), std::move(y_plan)};
+  return y;
 }
 
 class CommPlanSweep
     : public ::testing::TestWithParam<std::tuple<int, CommScheme>> {};
 
-TEST_P(CommPlanSweep, BitIdenticalToLegacyDistSpmv) {
+// The three schemes run the same kernels in the same order, so each
+// overlapping scheme must reproduce vector mode exactly.
+TEST_P(CommPlanSweep, BitIdenticalToVectorMode) {
   const auto& [n_ranks, scheme] = GetParam();
   const auto a = random_csr<double>(211, 211, 0, 14, 31);
   const auto x = random_vector<double>(211, 32);
-  const auto [legacy, plan] = run_both(a, n_ranks, scheme, x);
-  // Same kernels in the same order: exact equality, no tolerance.
-  EXPECT_EQ(legacy, plan);
+  // Exact equality, no tolerance.
+  EXPECT_EQ(run_plan(a, n_ranks, CommScheme::vector_mode, x),
+            run_plan(a, n_ranks, scheme, x));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RanksAndSchemes, CommPlanSweep,
     ::testing::Combine(::testing::Values(1, 2, 7),
-                       ::testing::Values(CommScheme::vector_mode,
-                                         CommScheme::naive_overlap,
+                       ::testing::Values(CommScheme::naive_overlap,
                                          CommScheme::task_mode)));
 
 // With a barrier between iterations no rank can outrun its peers, so
@@ -138,7 +133,8 @@ TEST(CommPlan, SteadyStateSendsAreRendezvous) {
 // Free-running ranks (no inter-iteration synchronization, evolving
 // input) race each other by whole iterations, so deliveries mix the
 // rendezvous and eager paths — the result must still be bit-identical
-// to the fully synchronous legacy loop.
+// to the same recurrence with a barrier after every iteration, where
+// every send rendezvouses.
 TEST(CommPlan, EagerFallbackUnderRacingIsBitIdentical) {
   const auto a = make_banded<double>(160, 2);
   const auto part = partition_balanced_nnz(a, 3);
@@ -146,23 +142,24 @@ TEST(CommPlan, EagerFallbackUnderRacingIsBitIdentical) {
   for (const auto scheme :
        {CommScheme::naive_overlap, CommScheme::task_mode}) {
     SCOPED_TRACE(to_string(scheme));
-    std::vector<double> final_legacy(static_cast<std::size_t>(a.n_rows));
-    std::vector<double> final_plan(static_cast<std::size_t>(a.n_rows));
+    std::vector<double> final_synced(static_cast<std::size_t>(a.n_rows));
+    std::vector<double> final_racing(static_cast<std::size_t>(a.n_rows));
     std::mutex m;
     msg::Runtime::run(3, [&](msg::Comm& comm) {
       const auto d = distribute(a, part, comm.rank());
       const index_t row0 = part.begin(comm.rank());
       const auto n = static_cast<std::size_t>(d.n_local);
-      // Legacy loop: x <- A x / 2 per iteration, no global sync needed.
+      // x <- A x / 2 per iteration, first barrier'd, then free-running.
       std::vector<double> x(n, 1.0), y(n);
-      std::vector<double> halo, sendbuf;
-      for (int it = 0; it < kIters; ++it) {
-        dist_spmv(comm, d, std::span<const double>(x), std::span<double>(y),
-                  scheme, halo, sendbuf);
-        for (std::size_t i = 0; i < n; ++i) x[i] = y[i] * 0.5;
+      {
+        CommPlan<double> plan(comm, d, scheme);
+        for (int it = 0; it < kIters; ++it) {
+          plan.spmv(std::span<const double>(x), std::span<double>(y));
+          for (std::size_t i = 0; i < n; ++i) x[i] = y[i] * 0.5;
+          comm.barrier();
+        }
       }
-      const std::vector<double> legacy = x;
-      // Same recurrence through the plan.
+      const std::vector<double> synced = x;
       x.assign(n, 1.0);
       CommPlan<double> plan(comm, d, scheme);
       for (int it = 0; it < kIters; ++it) {
@@ -170,10 +167,10 @@ TEST(CommPlan, EagerFallbackUnderRacingIsBitIdentical) {
         for (std::size_t i = 0; i < n; ++i) x[i] = y[i] * 0.5;
       }
       std::lock_guard<std::mutex> lock(m);
-      std::copy(legacy.begin(), legacy.end(), final_legacy.begin() + row0);
-      std::copy(x.begin(), x.end(), final_plan.begin() + row0);
+      std::copy(synced.begin(), synced.end(), final_synced.begin() + row0);
+      std::copy(x.begin(), x.end(), final_racing.begin() + row0);
     });
-    EXPECT_EQ(final_legacy, final_plan);
+    EXPECT_EQ(final_synced, final_racing);
   }
 }
 
@@ -183,10 +180,10 @@ TEST(CommPlan, TaskModeReusesOneCommThreadPerRank) {
   const auto a = make_banded<double>(144, 3);
   const auto x = random_vector<double>(144, 17);
   const std::uint64_t threads0 = obs::counter("comm.task_threads").value();
-  const auto [legacy, plan] =
-      run_both(a, 3, CommScheme::task_mode, x, /*plan_iterations=*/120);
-  EXPECT_EQ(legacy, plan);
+  const auto task =
+      run_plan(a, 3, CommScheme::task_mode, x, /*plan_iterations=*/120);
   EXPECT_EQ(obs::counter("comm.task_threads").value() - threads0, 3u);
+  EXPECT_EQ(task, run_plan(a, 3, CommScheme::vector_mode, x));
 }
 
 // The steady-state path — gather, exchange, kernels, re-post — performs
@@ -233,15 +230,15 @@ TEST(CommPlan, SteadyStateIterationsDoNotAllocate) {
 }
 
 // Switching the DistMatrix kernel format invalidates the old plan's
-// kernel dispatch; a freshly built plan must agree bit-for-bit with the
-// legacy path under the new format.
+// kernel dispatch; a plan rebuilt after the switch must agree bit-for-bit
+// with a plan over a freshly distributed ellpack_r matrix.
 TEST(CommPlan, RebuildAfterFormatSwitch) {
   const auto a = random_csr<double>(150, 150, 1, 9, 77);
   const auto x = random_vector<double>(150, 78);
   const auto part = partition_balanced_nnz(a, 3);
   std::vector<double> y_csr(static_cast<std::size_t>(a.n_rows));
   std::vector<double> y_ell(static_cast<std::size_t>(a.n_rows));
-  std::vector<double> y_ell_legacy(static_cast<std::size_t>(a.n_rows));
+  std::vector<double> y_ell_fresh(static_cast<std::size_t>(a.n_rows));
   std::mutex m;
   msg::Runtime::run(3, [&](msg::Comm& comm) {
     auto d = distribute(a, part, comm.rank());
@@ -256,17 +253,20 @@ TEST(CommPlan, RebuildAfterFormatSwitch) {
       plan.spmv(std::span<const double>(x_local), std::span<double>(y1));
     }  // destroyed before the format switch: its kernel dispatch is stale
     d.build_plans(formats::registry<double>(), "ellpack_r");
-    std::vector<double> halo, sendbuf;
-    dist_spmv(comm, d, std::span<const double>(x_local), std::span<double>(y3),
-              CommScheme::vector_mode, halo, sendbuf);
-    CommPlan<double> plan2(comm, d, CommScheme::vector_mode);
-    plan2.spmv(std::span<const double>(x_local), std::span<double>(y2));
+    {
+      CommPlan<double> plan2(comm, d, CommScheme::vector_mode);
+      plan2.spmv(std::span<const double>(x_local), std::span<double>(y2));
+    }
+    auto fresh = distribute(a, part, comm.rank());
+    fresh.build_plans(formats::registry<double>(), "ellpack_r");
+    CommPlan<double> plan3(comm, fresh, CommScheme::vector_mode);
+    plan3.spmv(std::span<const double>(x_local), std::span<double>(y3));
     std::lock_guard<std::mutex> lock(m);
     std::copy(y1.begin(), y1.end(), y_csr.begin() + row0);
     std::copy(y2.begin(), y2.end(), y_ell.begin() + row0);
-    std::copy(y3.begin(), y3.end(), y_ell_legacy.begin() + row0);
+    std::copy(y3.begin(), y3.end(), y_ell_fresh.begin() + row0);
   });
-  EXPECT_EQ(y_ell, y_ell_legacy);  // same format: exact
+  EXPECT_EQ(y_ell, y_ell_fresh);  // same format: exact
   spmvm::testing::expect_vectors_near<double>(y_csr, y_ell, 1e-13);
 }
 
@@ -275,7 +275,7 @@ TEST(CommPlan, GatherMetricsAdvance) {
   const auto a = make_banded<double>(128, 3);
   const auto x = random_vector<double>(128, 3);
   const std::uint64_t ns0 = obs::counter("comm.gather_ns").value();
-  run_both(a, 2, CommScheme::vector_mode, x, /*plan_iterations=*/5);
+  run_plan(a, 2, CommScheme::vector_mode, x, /*plan_iterations=*/5);
   EXPECT_GT(obs::counter("comm.gather_ns").value(), ns0);
   EXPECT_GT(obs::gauge("comm.gather_seconds").value(), 0.0);
 }

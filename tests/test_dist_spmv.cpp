@@ -1,7 +1,7 @@
-// Integration tests: distributed spMVM over the message runtime must be
-// bit-identical to the serial product for all three communication
-// schemes, matrices and rank counts.
-#include "dist/spmv_modes.hpp"
+// Integration tests: distributed spMVM through a CommPlan over the
+// message runtime must match the serial product for all three
+// communication schemes, matrices and rank counts.
+#include "dist/comm_plan.hpp"
 
 #include <gtest/gtest.h>
 
@@ -30,9 +30,8 @@ std::vector<double> run_distributed(const Csr<double>& a, int n_ranks,
     std::vector<double> x_local(x.begin() + row0,
                                 x.begin() + part.end(comm.rank()));
     std::vector<double> y_local(static_cast<std::size_t>(d.n_local));
-    std::vector<double> halo, sendbuf;
-    dist_spmv(comm, d, std::span<const double>(x_local),
-              std::span<double>(y_local), scheme, halo, sendbuf);
+    CommPlan<double> plan(comm, d, scheme);
+    plan.spmv(std::span<const double>(x_local), std::span<double>(y_local));
     std::lock_guard<std::mutex> lock(y_mutex);
     std::copy(y_local.begin(), y_local.end(),
               y.begin() + row0);

@@ -17,6 +17,8 @@
 #include "formats/registry.hpp"
 #include "matgen/generators.hpp"
 #include "obs/ledger.hpp"
+#include "obs/trace.hpp"
+#include "serve/server.hpp"
 #include "solver/cg.hpp"
 #include "solver/operator.hpp"
 
@@ -268,6 +270,143 @@ TEST(ExecBackends, EveryDeviceLaunchLandsInTheLedger) {
   EXPECT_TRUE(saw_pcie);
   EXPECT_TRUE(saw_hybrid);
   obs::reset_ledger();
+}
+
+namespace {
+
+/// Tracing and the ledger switched on from a clean slate for one
+/// product; restores both switches on exit.
+class ScopedProbeCapture {
+ public:
+  ScopedProbeCapture()
+      : tracing_(obs::tracing_enabled()), ledger_(obs::ledger_enabled()) {
+    obs::clear_trace();
+    obs::reset_ledger();
+    obs::set_tracing(true);
+    obs::set_ledger_enabled(true);
+  }
+  ~ScopedProbeCapture() {
+    obs::set_tracing(tracing_);
+    obs::set_ledger_enabled(ledger_);
+    obs::clear_trace();
+    obs::reset_ledger();
+  }
+
+ private:
+  bool tracing_, ledger_;
+};
+
+bool is_kernel_span(const obs::TraceEvent& e) {
+  return std::string(e.name).rfind("kernel/", 0) == 0;
+}
+
+double span_arg(const obs::TraceEvent& e, const char* key) {
+  for (int i = 0; i < e.n_args; ++i)
+    if (std::string(e.arg_name[i]) == key) return e.arg_value[i];
+  return 0.0;
+}
+
+}  // namespace
+
+TEST(ExecBackends, EveryProductIsRecordedExactlyOnce) {
+  // One kernel probe per plan product: a FormatPlan call on the host
+  // backend, the gpusim host mirror, or each hybrid part yields exactly
+  // one kernel/<format> span and one host-lane ledger call — the `auto`
+  // wrapper included, block launches of any k included.
+  const Csr<double> a = test_matrix();
+  const std::vector<double> x = test_x(a.n_cols);
+  formats::PlanOptions opts;
+  opts.permute_columns = PermuteColumns::no;
+  opts.probe = false;
+  exec::LaunchOptions launch;
+  launch.device_share = 0.5;  // hybrid: both parts non-empty
+  exec::Engine<double> eng;
+
+  enum class Op { apply, axpby, block };
+  for (const formats::FormatInfo& info : formats::registry<double>().list()) {
+    const std::string span = std::string("kernel/") + info.name;
+    for (const char* backend : {"host", "gpusim", "hybrid"}) {
+      const auto bound = eng.bind(backend, a, info.name, opts, launch);
+      const bool hybrid = std::string(backend) == "hybrid";
+      const std::size_t parts =
+          hybrid ? static_cast<std::size_t>(bound->split_row() > 0) +
+                       static_cast<std::size_t>(bound->split_row() < a.n_rows)
+                 : 1;
+      ASSERT_EQ(parts, hybrid ? 2u : 1u);
+      for (const auto& [op, k] : {std::pair{Op::apply, 1},
+                                  std::pair{Op::axpby, 1},
+                                  std::pair{Op::block, 1},
+                                  std::pair{Op::block, 3}}) {
+        SCOPED_TRACE(std::string(info.name) + " on " + backend + ", op " +
+                     std::to_string(static_cast<int>(op)) + ", k " +
+                     std::to_string(k));
+        const auto kk = static_cast<std::size_t>(k);
+        std::vector<double> xb(x.size() * kk), y(
+            static_cast<std::size_t>(a.n_rows) * kk, 0.5);
+        for (std::size_t i = 0; i < xb.size(); ++i) xb[i] = x[i / kk];
+        ScopedProbeCapture capture;
+        if (op == Op::apply)
+          bound->apply(std::span<const double>(x), std::span<double>(y));
+        else if (op == Op::axpby)
+          bound->apply_axpby(std::span<const double>(x),
+                             std::span<double>(y), 2.0, -1.0);
+        else
+          bound->apply_block(std::span<const double>(xb),
+                             std::span<double>(y), k);
+
+        std::size_t spans = 0;
+        for (const obs::TraceEvent& e : obs::collect()) {
+          if (!is_kernel_span(e)) continue;
+          ++spans;
+          EXPECT_EQ(std::string(e.name), span);
+          if (op == Op::block) EXPECT_EQ(span_arg(e, "k"), k);
+        }
+        EXPECT_EQ(spans, parts);
+
+        std::uint64_t calls = 0;
+        for (const obs::EffRecord& r : obs::ledger_snapshot()) {
+          if (r.lane != obs::RoofLane::host ||
+              (r.phase != "spmv" && r.phase != "spmv_axpby" &&
+               r.phase != "spmmv"))
+            continue;
+          EXPECT_EQ(r.format, info.name);
+          EXPECT_EQ(r.phase == "spmmv", op == Op::block);
+          calls += r.calls;
+        }
+        EXPECT_EQ(calls, parts);
+      }
+    }
+  }
+}
+
+TEST(ExecBackends, ServeBlockLaunchCarriesKernelSpan) {
+  // A served request runs as a block launch; its kernel span nests
+  // inside the serve/launch span on the worker thread.
+  const Csr<double> a = make_banded<double>(200, 3);
+  serve::ServerOptions opt;
+  opt.backend = "host";
+  opt.n_workers = 1;
+  ScopedProbeCapture capture;
+  {
+    serve::Server server(opt);
+    server.register_matrix("m", a);
+    server.start();
+    serve::Ticket t = server.submit(
+        "m", std::vector<double>(static_cast<std::size_t>(a.n_cols), 1.0));
+    ASSERT_EQ(t.get().status, serve::RequestStatus::ok);
+    server.shutdown();
+  }
+  const std::vector<obs::TraceEvent> events = obs::collect();
+  bool nested = false;
+  for (const obs::TraceEvent& launch : events) {
+    if (std::string(launch.name) != "serve/launch") continue;
+    for (const obs::TraceEvent& e : events)
+      if (is_kernel_span(e) && e.tid == launch.tid &&
+          e.t0_ns >= launch.t0_ns && e.t1_ns <= launch.t1_ns &&
+          e.depth > launch.depth)
+        nested = true;
+  }
+  EXPECT_TRUE(nested);
 }
 
 TEST(ExecBackends, SolverIteratesOnAnyBackend) {

@@ -46,6 +46,19 @@ TEST(Jds, SpmvMatchesReferenceSymmetricPermutation) {
                                        1e-12);
 }
 
+TEST(Jds, ThreadedSpmvIsBitIdenticalToSerial) {
+  // Rows split across threads keep their ascending-diagonal summation
+  // order, so the thread count cannot change a single bit. Row lengths
+  // 0..40 put thread boundaries inside every diagonal length class.
+  const auto a = testing::random_csr<double>(997, 997, 0, 40, 13);
+  const auto j = Jds<double>::from_csr(a, PermuteColumns::yes);
+  const auto x = testing::random_vector<double>(997, 14);
+  std::vector<double> y1(997, -1.0), y4(997, -2.0);
+  spmv(j, std::span<const double>(x), std::span<double>(y1), 1);
+  spmv(j, std::span<const double>(x), std::span<double>(y4), 4);
+  EXPECT_EQ(y1, y4);
+}
+
 TEST(Jds, HandlesEmptyRows) {
   Coo<double> coo(5, 5);
   coo.add(2, 1, 3.0);

@@ -12,14 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "formats/registry.hpp"
 #include "gpusim/gpu_spmv.hpp"
 #include "matgen/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/roofline.hpp"
 #include "obs/trace_export.hpp"
 #include "perfmodel/model_eval.hpp"
-#include "sparse/footprint.hpp"
-#include "sparse/spmv_host.hpp"
 #include "test_helpers.hpp"
 
 namespace spmvm {
@@ -115,34 +114,48 @@ TEST(Ledger, DisabledRecordsNothing) {
 }
 
 TEST(Ledger, HostKernelPopulatesRecord) {
-  ScopedLedger led;
+  // Every registry format records each product once, under its registry
+  // name, with its true nnz (padding excluded) and its stored footprint.
   const auto a = testing::random_csr<double>(64, 64, 1, 8, 7);
+  formats::PlanOptions opts;
+  opts.probe = false;  // the auto plan's selection runs no kernels
+  std::vector<std::shared_ptr<const formats::FormatPlan<double>>> plans;
+  for (const formats::FormatInfo& info : formats::registry<double>().list())
+    plans.push_back(formats::registry<double>().build(info.name, a, opts));
+
+  ScopedLedger led;
   std::vector<double> x(64, 1.0), y(64, 0.0);
   constexpr int kCalls = 3;
-  for (int i = 0; i < kCalls; ++i)
-    spmv(a, std::span<const double>(x), std::span<double>(y));
+  for (const auto& plan : plans)
+    for (int i = 0; i < kCalls; ++i)
+      plan->spmv(std::span<const double>(x), std::span<double>(y));
 
   const auto records = obs::ledger_snapshot();
-  const obs::EffRecord* r =
-      find_record(records, obs::RoofLane::host, "csr", "spmv");
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->calls, static_cast<std::uint64_t>(kCalls));
-  EXPECT_EQ(r->key(), "host/csr/spmv");
+  for (const auto& plan : plans) {
+    const std::string name = plan->info().name;
+    SCOPED_TRACE(name);
+    const obs::EffRecord* r =
+        find_record(records, obs::RoofLane::host, name, "spmv");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->calls, static_cast<std::uint64_t>(kCalls));
+    EXPECT_EQ(r->key(), "host/" + name + "/spmv");
 
-  // Byte accounting matches the kernel wrappers: stored footprint plus
-  // one RHS read and one LHS write per call.
-  const double bytes_per_call =
-      static_cast<double>(footprint(a).total_bytes(sizeof(double))) +
-      static_cast<double>(a.n_rows + a.n_cols) * sizeof(double);
-  EXPECT_DOUBLE_EQ(r->bytes, kCalls * bytes_per_call);
-  EXPECT_DOUBLE_EQ(r->flops, kCalls * 2.0 * static_cast<double>(a.nnz()));
-  EXPECT_NEAR(r->mean_alpha(),
-              static_cast<double>(a.n_rows) / static_cast<double>(a.nnz()),
-              1e-12);
-  EXPECT_GT(r->seconds, 0.0);
-  EXPECT_GT(r->predicted_s, 0.0);
-  EXPECT_GT(r->efficiency(), 0.0);
-  EXPECT_GT(r->achieved_gbs(), 0.0);
+    // Byte accounting: stored footprint plus one RHS read and one LHS
+    // write per call; flops count true non-zeros only.
+    EXPECT_EQ(plan->nnz(), a.nnz());
+    const double bytes_per_call =
+        static_cast<double>(plan->footprint().total_bytes(sizeof(double))) +
+        static_cast<double>(a.n_rows + a.n_cols) * sizeof(double);
+    EXPECT_DOUBLE_EQ(r->bytes, kCalls * bytes_per_call);
+    EXPECT_DOUBLE_EQ(r->flops, kCalls * 2.0 * static_cast<double>(a.nnz()));
+    EXPECT_NEAR(r->mean_alpha(),
+                static_cast<double>(a.n_rows) / static_cast<double>(a.nnz()),
+                1e-12);
+    EXPECT_GT(r->seconds, 0.0);
+    EXPECT_GT(r->predicted_s, 0.0);
+    EXPECT_GT(r->efficiency(), 0.0);
+    EXPECT_GT(r->achieved_gbs(), 0.0);
+  }
 }
 
 TEST(Ledger, ResetClearsRecordsAndResiduals) {

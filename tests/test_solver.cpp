@@ -7,6 +7,7 @@
 #include "solver/cg.hpp"
 #include "solver/kernels.hpp"
 #include "solver/lanczos.hpp"
+#include "sparse/spmv_host.hpp"
 #include "test_helpers.hpp"
 
 namespace spmvm::solver {
